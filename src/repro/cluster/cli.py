@@ -27,16 +27,16 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import signal
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Dict, List, Optional
 
+from repro.httpservice import fetch_json, serve_until_terminated
 from repro.obs.events import EventLog
 
 
@@ -109,18 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _http_json(url: str, method: str = "GET", timeout: float = 30.0):
-    request = urllib.request.Request(url, method=method)
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(
-                response.read().decode("utf-8")
-            )
-    except urllib.error.HTTPError as exc:
-        detail = exc.read().decode("utf-8", errors="replace").strip()
-        raise ValueError(f"router answered {exc.code}: {detail}") from None
-    except urllib.error.URLError as exc:
-        raise ValueError(f"router unreachable: {exc.reason}") from None
+#: one JSON exchange with the router; ValueError on failure
+_router_json = functools.partial(fetch_json, peer="router")
 
 
 def _run_serve(args: argparse.Namespace) -> int:
@@ -145,7 +135,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         on_address_change=router.attach_shard,
     )
     router.supervisor = supervisor
-    host, port = router.address
     print(
         f"cluster router for {args.root} on {router.url} "
         f"({args.shards} shards, {args.replicas} replicas)",
@@ -158,30 +147,22 @@ def _run_serve(args: argparse.Namespace) -> int:
         supervisor.stop()
         router.stop()
         return 1
-    for name, url in sorted(supervisor.addresses().items()):
-        print(f"shard {name} at {url}", flush=True)
-    print(f"listening {host}:{port}", flush=True)
 
-    class _Terminated(Exception):
-        pass
+    def announce() -> None:
+        for name, url in sorted(supervisor.addresses().items()):
+            print(f"shard {name} at {url}", flush=True)
+        host, port = router.address
+        print(f"listening {host}:{port}", flush=True)
 
-    def _on_sigterm(signum, frame):
-        raise _Terminated()
-
-    previous = signal.signal(signal.SIGTERM, _on_sigterm)
     try:
-        router.serve_forever()
-    except (KeyboardInterrupt, _Terminated):
-        pass
+        serve_until_terminated(router, announce)
     finally:
-        signal.signal(signal.SIGTERM, previous)
-        router.stop()
         supervisor.stop()
     return 0
 
 
 def _run_status(args: argparse.Namespace) -> int:
-    __, payload = _http_json(f"{args.url.rstrip('/')}/clusterz")
+    payload = _router_json(args.url, "/clusterz")
     if args.as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -229,7 +210,7 @@ def _parse_mix(text: Optional[str]) -> Optional[Dict[str, float]]:
 def _live_shard_pid(url: str) -> Optional[int]:
     """A (pid, any) of one alive shard, for the kill drill."""
     try:
-        __, payload = _http_json(f"{url.rstrip('/')}/clusterz", timeout=5.0)
+        payload = _router_json(url, "/clusterz", timeout=5.0)
     except ValueError:
         return None
     for __name, row in sorted(payload.get("shards", {}).items()):
@@ -308,9 +289,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "status":
             return _run_status(args)
         if args.command == "rebalance":
-            __, payload = _http_json(
-                f"{args.url.rstrip('/')}/rebalance", method="POST",
-                timeout=120.0,
+            payload = _router_json(
+                args.url, "/rebalance", method="POST", timeout=120.0
             )
             print(
                 f"rebalance: checked {payload.get('checked')}, "
@@ -319,9 +299,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 1 if payload.get("failed") else 0
         if args.command == "drain":
-            __, payload = _http_json(
-                f"{args.url.rstrip('/')}/drain?shard={args.shard}",
-                method="POST", timeout=120.0,
+            payload = _router_json(
+                args.url, f"/drain?shard={args.shard}", method="POST",
+                timeout=120.0,
             )
             print(
                 f"drained {payload.get('shard')}: copied "

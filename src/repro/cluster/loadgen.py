@@ -3,7 +3,8 @@
 Drives a deterministic mixed workload -- JSON ingest, BINCAP binary
 ingest, chunked stream ingest, run/entry queries, document gets,
 structural diffs -- from ``concurrency`` threads (each with its own
-keep-alive connection), recording per-kind latency into
+keep-alive connection through :class:`~repro.httpservice.HttpClient`),
+recording per-kind latency into
 :class:`~repro.obs.quantiles.QuantileDigest` and counting failures by
 class: transport errors, 5xx (server faults -- the cluster fault drill
 asserts this stays **zero** while a shard dies), and 4xx.
@@ -14,27 +15,28 @@ past one GIL when benchmarking; per-process reports merge losslessly
 (counts sum, digests merge).
 
 The op plan is seeded: the same (seed, requests, mix) drives the same
-byte-identical sequence of operations at any concurrency.
+byte-identical sequence of operations at any concurrency, and the
+digests each worker picks for gets, entry queries and diffs are drawn
+from an RNG derived from the same seed.  A diff pairs two digests of
+one profile kind (the kind each ingest answer reports): diffing a
+WHOMP profile against a LEAP one is a 4xx by design, not load.
 """
 
 from __future__ import annotations
 
-import http.client
-import json
 import random
-import socket
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import urlencode, urlsplit
+from urllib.parse import urlencode
 
 from repro.core.binformat import StreamWriter
 from repro.core.events import AccessKind
 from repro.core.profile_io import dumps_bytes
+from repro.httpservice import HttpClient
 from repro.obs.quantiles import QuantileDigest
 from repro.profilers.leap import LeapProfiler
 from repro.runtime.process import Process
-from repro.store.blobs import sha256_hex
 
 #: default op mix (weights, normalized); ingest-heavy because ingest is
 #: the cluster's replicated (most expensive) path
@@ -49,21 +51,6 @@ DEFAULT_MIX: Dict[str, float] = {
 }
 
 OP_KINDS = tuple(DEFAULT_MIX)
-
-
-def _connect(netloc: str, timeout: float) -> http.client.HTTPConnection:
-    """A keep-alive connection with Nagle off.
-
-    POST bodies go out in a second ``send()``; with Nagle on, that
-    segment waits on the server's delayed ACK -- a fixed ~40ms stall
-    per request that would swamp every latency number here.
-    """
-    connection = http.client.HTTPConnection(netloc, timeout=timeout)
-    connection.connect()
-    connection.sock.setsockopt(
-        socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-    )
-    return connection
 
 
 def synthetic_documents(
@@ -241,18 +228,21 @@ class _Generator:
         documents: List[Tuple[str, str, bytes]],
         concurrency: int,
         timeout: float,
+        seed: int,
         unique_ingest: bool = False,
     ) -> None:
-        self.netloc = urlsplit(url).netloc
+        self.url = url
         self.plan = plan
         self.documents = documents
         self.concurrency = max(1, concurrency)
-        self.timeout = timeout
+        self.seed = seed
         self.unique_ingest = unique_ingest
+        # one keep-alive connection per worker thread
+        self.client = HttpClient(timeout)
         self._next = 0
         self._plan_lock = threading.Lock()
         self._digest_lock = threading.Lock()
-        self._known: List[Tuple[str, str]] = []  # (digest, workload)
+        self._known: List[Tuple[str, object]] = []  # (digest, kind)
         self._reports: List[LoadReport] = []
         self._report_lock = threading.Lock()
 
@@ -266,41 +256,37 @@ class _Generator:
             self._next += 1
         return index, self.plan[index]
 
-    def _note_digest(self, digest: str, workload: str) -> None:
-        with self._digest_lock:
-            self._known.append((digest, workload))
+    def _note(self, answer: Dict[str, object]) -> None:
+        """Remember the digest and kind an ingest answer reports."""
+        digest = answer.get("digest")
+        if isinstance(digest, str):
+            with self._digest_lock:
+                self._known.append((digest, answer.get("kind")))
 
     def _pick_digests(self, rng: random.Random, count: int) -> List[str]:
+        """``count`` stored digests, all of one profile kind."""
         with self._digest_lock:
             if not self._known:
                 return []
-            return [rng.choice(self._known)[0] for __ in range(count)]
+            first, kind = rng.choice(self._known)
+            same_kind = [d for d, k in self._known if k == kind]
+        return [first] + [rng.choice(same_kind) for __ in range(count - 1)]
 
-    def _request(
-        self,
-        connection: http.client.HTTPConnection,
-        method: str,
-        path: str,
-        body: Optional[object] = None,
-        headers: Optional[Dict[str, str]] = None,
-        chunked: bool = False,
-    ) -> Tuple[int, bytes]:
-        connection.request(
-            method, path, body=body, headers=headers or {},
-            encode_chunked=chunked,
+    def _get(self, path: str) -> int:
+        return self.client.request(self.url, "GET", path).status
+
+    def ingest(self, workload: str, data: bytes) -> int:
+        response = self.client.request(
+            self.url, "POST",
+            f"/ingest?{urlencode({'workload': workload})}", body=data,
         )
-        response = connection.getresponse()
-        return response.status, response.read()
+        if response.status in (200, 201):
+            self._note(response.json())
+        return response.status
 
     # -- ops -----------------------------------------------------------
 
-    def _run_op(
-        self,
-        connection: http.client.HTTPConnection,
-        kind: str,
-        index: int,
-        rng: random.Random,
-    ) -> Optional[int]:
+    def _run_op(self, kind: str, index: int, rng: random.Random) -> int:
         if kind in ("ingest-json", "ingest-binary"):
             wanted = "json" if kind == "ingest-json" else "binary"
             pool = [d for d in self.documents if d[1] == wanted]
@@ -312,18 +298,7 @@ class _Generator:
                 # short-circuit (binary documents cannot be padded:
                 # BINCAP rejects trailing bytes as a torn frame)
                 data = data + b" " * (1 + index)
-            status, body = self._request(
-                connection, "POST",
-                f"/ingest?{urlencode({'workload': workload})}", body=data,
-            )
-            if status in (200, 201):
-                try:
-                    digest = json.loads(body.decode("utf-8")).get("digest")
-                except ValueError:
-                    digest = None
-                if isinstance(digest, str):
-                    self._note_digest(digest, workload)
-            return status
+            return self.ingest(workload, data)
         if kind == "ingest-stream":
             workload, __, data = self.documents[index % len(self.documents)]
             pending: List[bytes] = []
@@ -331,65 +306,48 @@ class _Generator:
             writer.begin()
             writer.send_document(workload, data)
             writer.close()
-
-            def chunks():
-                yield b"".join(pending)
-
-            status, __body = self._request(
-                connection, "POST", "/ingest/stream", body=chunks(),
+            response = self.client.request(
+                self.url, "POST", "/ingest/stream", body=b"".join(pending),
                 headers={"Transfer-Encoding": "chunked"}, chunked=True,
             )
-            if status in (200, 201):
-                self._note_digest(sha256_hex(data), workload)
-            return status
+            if response.status in (200, 201):
+                for row in response.json().get("ingested") or ():
+                    if isinstance(row, dict):
+                        self._note(row)
+            return response.status
         if kind == "query-runs":
             workload = self.documents[index % len(self.documents)][0]
-            status, __body = self._request(
-                connection, "GET",
-                f"/query/runs?{urlencode({'workload': workload})}",
+            return self._get(
+                f"/query/runs?{urlencode({'workload': workload})}"
             )
-            return status
         if kind == "query-entries":
             picked = self._pick_digests(rng, 1)
             if not picked:
-                status, __body = self._request(
-                    connection, "GET", "/query/runs"
-                )
-                return status
+                return self._get("/query/runs")
             # run= restricts the scan to one blob: the op stays cheap
             # at any store size, which keeps the mix stationary
-            status, __body = self._request(
-                connection, "GET",
-                f"/query/entries?{urlencode({'run': picked[0]})}",
+            return self._get(
+                f"/query/entries?{urlencode({'run': picked[0]})}"
             )
-            return status
         if kind == "get":
             picked = self._pick_digests(rng, 1)
             if not picked:
-                status, __body = self._request(connection, "GET", "/healthz")
-                return status
-            status, __body = self._request(
-                connection, "GET", f"/get?{urlencode({'run': picked[0]})}"
-            )
-            return status
+                return self._get("/healthz")
+            return self._get(f"/get?{urlencode({'run': picked[0]})}")
         if kind == "diff":
             picked = self._pick_digests(rng, 2)
             if len(picked) < 2:
-                status, __body = self._request(connection, "GET", "/healthz")
-                return status
-            status, __body = self._request(
-                connection, "GET",
-                f"/diff?{urlencode({'a': picked[0], 'b': picked[1]})}",
+                return self._get("/healthz")
+            return self._get(
+                f"/diff?{urlencode({'a': picked[0], 'b': picked[1]})}"
             )
-            return status
         raise ValueError(f"unknown op kind {kind!r}")
 
     # -- workers -------------------------------------------------------
 
     def _worker(self, worker_index: int) -> None:
-        rng = random.Random(worker_index * 7919 + 17)
+        rng = random.Random(f"{self.seed}/{worker_index}")
         report = LoadReport()
-        connection = _connect(self.netloc, self.timeout)
         try:
             while True:
                 taken = self._take()
@@ -399,23 +357,15 @@ class _Generator:
                 start = time.perf_counter()
                 status: Optional[int] = None
                 try:
-                    status = self._run_op(connection, kind, index, rng)
-                except (http.client.HTTPException, OSError, ValueError):
-                    # one reconnect per failed op: a shard dying
-                    # mid-exchange costs that op a retry, not the run
-                    connection.close()
-                    try:
-                        connection = _connect(self.netloc, self.timeout)
-                        status = self._run_op(connection, kind, index, rng)
-                    except (http.client.HTTPException, OSError, ValueError):
-                        connection.close()
-                        connection = http.client.HTTPConnection(
-                            self.netloc, timeout=self.timeout
-                        )
-                        status = None
+                    status = self._run_op(kind, index, rng)
+                except OSError:
+                    # the client already retried a stale connection
+                    # once; a shard dying mid-exchange costs that op a
+                    # retry, not the run
+                    status = None
                 report.record(kind, time.perf_counter() - start, status)
         finally:
-            connection.close()
+            self.client.close()
             with self._report_lock:
                 self._reports.append(report)
 
@@ -461,22 +411,14 @@ def run_load(
     )
     plan = build_plan(requests, seed, mix)
     generator = _Generator(
-        url, plan, docs, concurrency, timeout, unique_ingest=unique_ingest
+        url, plan, docs, concurrency, timeout, seed,
+        unique_ingest=unique_ingest,
     )
-    if warmup_ingests > 0:
-        connection = _connect(generator.netloc, timeout)
-        try:
-            for index in range(min(warmup_ingests, len(docs))):
-                workload, __, data = docs[index]
-                status, body = generator._request(
-                    connection, "POST",
-                    f"/ingest?{urlencode({'workload': workload})}",
-                    body=data,
-                )
-                if status in (200, 201):
-                    generator._note_digest(sha256_hex(data), workload)
-        finally:
-            connection.close()
+    try:
+        for workload, __, data in docs[:max(0, warmup_ingests)]:
+            generator.ingest(workload, data)
+    finally:
+        generator.client.close()
     return generator.run()
 
 

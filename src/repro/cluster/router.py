@@ -41,30 +41,29 @@ one trace id links the client, the router, and every shard touched.
 
 from __future__ import annotations
 
-import http.client
-import json
-import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlencode, urlparse, urlsplit
+from urllib.parse import urlencode
 
 from repro.cluster.health import DigestMerger, RingState, ShardHealthTable
 from repro.cluster.ring import DEFAULT_VNODES
-from repro.core.binformat import StreamReader
-from repro.core.profile_io import ProfileFormatError, document_from_bytes
-from repro.obs.context import TRACE_HEADER, TraceContext, activate, current_header
+from repro.core.profile_io import document_from_bytes
+from repro.httpservice import (
+    DEFAULT_MAX_BODY_BYTES,
+    HTTPService,
+    HttpClient,
+    RawBody,
+    Response,
+    required,
+)
+from repro.obs.context import TRACE_HEADER, current_header
 from repro.obs.events import EventLog
 from repro.store.blobs import sha256_hex
 from repro.store.diff import detect_regressions, diff_blobs
-from repro.store.httpbody import RequestError, iter_body, read_body
-from repro.store.server import RawBody
-from repro.telemetry import Telemetry, coalesce
-
-#: cap on one routed request body (matches the shard daemon's default)
-DEFAULT_MAX_BODY_BYTES = 64 << 20
+from repro.store.httpbody import RequestError, read_document_stream
+from repro.telemetry import Telemetry
 
 #: seconds between background health probes of every shard
 DEFAULT_PROBE_INTERVAL = 1.0
@@ -77,8 +76,10 @@ def is_digest(selector: str) -> bool:
     return len(selector) == 64 and set(selector) <= _HEX
 
 
-class ClusterRouter:
+class ClusterRouter(HTTPService):
     """The routing daemon; shards are attached by name + URL."""
+
+    metric_prefix = "router.http"
 
     def __init__(
         self,
@@ -95,59 +96,55 @@ class ClusterRouter:
     ) -> None:
         self.ring = RingState(replicas=replicas, vnodes=vnodes)
         self.health = ShardHealthTable()
-        self.latency = DigestMerger()
-        self.telemetry = coalesce(telemetry)
-        self.events = events if events is not None else EventLog(path=trace_out)
-        self.max_body_bytes = max_body_bytes
         self.shard_timeout = shard_timeout
         self.probe_interval = probe_interval
-        self.started = time.time()
         #: optional ShardSupervisor, wired by the CLI so /drain and
         #: /clusterz can reach the shard processes
         self.supervisor = None
-        self._metrics_lock = threading.Lock()
         self._repairs = 0
-        self._requests = 0
-        self._errors = 0
-        self._local = threading.local()
+        # per-thread keep-alive connections to every shard
+        self._client = HttpClient(timeout=shard_timeout)
         # replica writes fan out concurrently; a persistent pool keeps
         # each worker's per-thread keep-alive connections warm
         self._write_pool = ThreadPoolExecutor(
             max_workers=16, thread_name_prefix="replica-write"
         )
-
-        router = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            disable_nagle_algorithm = True
-
-            def log_message(self, format, *args):  # noqa: A002
-                pass
-
-            def do_GET(self):  # noqa: N802
-                router.handle(self, "GET")
-
-            def do_POST(self):  # noqa: N802
-                router.handle(self, "POST")
-
-        self.httpd = ThreadingHTTPServer((host, port), Handler)
-        self.httpd.daemon_threads = True
-        self._lifecycle_lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
         self._probe_stop = threading.Event()
         self._probe_thread: Optional[threading.Thread] = None
+        super().__init__(
+            host=host,
+            port=port,
+            telemetry=telemetry,
+            trace_out=trace_out,
+            events=events,
+            max_body_bytes=max_body_bytes,
+        )
+
+    def routes(self):
+        return {
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/clusterz"): self._clusterz,
+            ("GET", "/metricsz"): self._metricsz,
+            ("GET", "/tracez"): self._tracez,
+            ("POST", "/ingest/stream"): self._ingest_stream,
+            ("POST", "/ingest"): self._ingest,
+            ("GET", "/get"): self._get,
+            ("GET", "/blob"): self._blob,
+            ("GET", "/query/runs"): lambda request, params: self._query(
+                "/query/runs", params
+            ),
+            ("GET", "/query/entries"): lambda request, params: self._query(
+                "/query/entries", params
+            ),
+            ("GET", "/diff"): self._diff,
+            ("POST", "/gc"): lambda request, params: self._gc(),
+            ("POST", "/rebalance"): lambda request, params: self._rebalance(),
+            ("POST", "/drain"): lambda request, params: self._drain(
+                required(params, "shard")
+            ),
+        }
 
     # -- lifecycle -----------------------------------------------------
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.httpd.server_address[0], self.httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
 
     def attach_shard(
         self,
@@ -163,21 +160,9 @@ class ClusterRouter:
         if not self.health.snapshot()[name]["draining"]:
             self.ring.add(name)
 
-    def start(self) -> "ClusterRouter":
-        with self._lifecycle_lock:
-            if self._thread is not None:
-                raise RuntimeError("router is already started")
-            thread = threading.Thread(
-                target=self.httpd.serve_forever, daemon=True
-            )
-            self._thread = thread
-        thread.start()
-        self._start_probe()
-        return self
-
     def serve_forever(self) -> None:
         self._start_probe()
-        self.httpd.serve_forever()
+        super().serve_forever()
 
     def _start_probe(self) -> None:
         with self._lifecycle_lock:
@@ -190,17 +175,12 @@ class ClusterRouter:
 
     def stop(self) -> None:
         self._probe_stop.set()
-        self.httpd.shutdown()
+        super().stop()
         with self._lifecycle_lock:
-            thread, self._thread = self._thread, None
             probe, self._probe_thread = self._probe_thread, None
-        if thread is not None:
-            thread.join()
         if probe is not None:
             probe.join(timeout=5.0)
-        self.httpd.server_close()
         self._write_pool.shutdown(wait=False)
-        self.events.flush()
 
     def _probe_loop(self) -> None:
         """Poll every shard's /healthz, keeping the health table live.
@@ -213,20 +193,18 @@ class ClusterRouter:
         while not self._probe_stop.wait(self.probe_interval):
             for name in self.health.names():
                 try:
-                    status, __, body = self._shard_request(
+                    answer = self._shard_request(
                         name, "GET", "/healthz", timeout=2.0
                     )
                 except OSError as exc:
                     self.health.mark_failed(name, str(exc))
                     continue
-                if status != 200:
-                    self.health.mark_failed(name, f"healthz answered {status}")
+                if answer.status != 200:
+                    self.health.mark_failed(
+                        name, f"healthz answered {answer.status}"
+                    )
                     continue
-                runs = None
-                try:
-                    runs = json.loads(body.decode("utf-8")).get("runs")
-                except ValueError:
-                    pass
+                runs = answer.json().get("runs")
                 self.health.mark_ok(
                     name, runs=runs if isinstance(runs, int) else None
                 )
@@ -241,65 +219,24 @@ class ClusterRouter:
         body: Optional[bytes] = None,
         headers: Optional[Dict[str, str]] = None,
         timeout: Optional[float] = None,
-    ) -> Tuple[int, Dict[str, str], bytes]:
-        """One HTTP exchange with a shard, over a per-thread keep-alive
-        connection.
+    ) -> Response:
+        """One HTTP exchange with a shard over the router's keep-alive
+        client.
 
-        A stale connection (the shard restarted, or its HTTP/1.0-era
-        close raced us) is retried once on a fresh socket -- safe even
-        for POSTs because every shard write is content-addressed and
-        idempotent.  Raises OSError when the shard is unreachable.
+        A stale connection (the shard restarted) is retried once on a
+        fresh socket -- safe even for POSTs because every shard write
+        is content-addressed and idempotent.  Raises OSError when the
+        shard is unreachable.
         """
         url = self.health.url(shard)
         if not url:
             raise OSError(f"shard {shard!r} has no known address")
-        netloc = urlsplit(url).netloc
-        conns = getattr(self._local, "conns", None)
-        if conns is None:
-            conns = self._local.conns = {}
-        cached = conns.get(shard)
-        if cached is not None and cached[0] != netloc:
-            cached[1].close()
-            conns.pop(shard, None)
-            cached = None
-        send_headers = dict(headers or {})
-        trace = current_header()
-        if trace is not None:
-            send_headers[TRACE_HEADER] = trace
-        last_error: Optional[Exception] = None
-        for attempt in range(2):
-            if cached is None:
-                connection = http.client.HTTPConnection(
-                    netloc, timeout=timeout or self.shard_timeout
-                )
-                try:
-                    # Nagle off: POST bodies go out in a second send(),
-                    # which would otherwise stall ~40ms on delayed ACK
-                    connection.connect()
-                    connection.sock.setsockopt(
-                        socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                    )
-                except OSError as exc:
-                    connection.close()
-                    last_error = exc
-                    continue
-                cached = (netloc, connection)
-                conns[shard] = cached
-            try:
-                cached[1].request(method, path, body=body, headers=send_headers)
-                response = cached[1].getresponse()
-                data = response.read()
-                response_headers = dict(response.getheaders())
-                if response.will_close:
-                    cached[1].close()
-                    conns.pop(shard, None)
-                return response.status, response_headers, data
-            except (http.client.HTTPException, OSError) as exc:
-                cached[1].close()
-                conns.pop(shard, None)
-                cached = None
-                last_error = exc
-        raise OSError(f"shard {shard!r} unreachable: {last_error}")
+        try:
+            return self._client.request(
+                url, method, path, body=body, headers=headers, timeout=timeout
+            )
+        except OSError as exc:
+            raise OSError(f"shard {shard!r} unreachable: {exc}") from None
 
     def _try_shard(
         self,
@@ -309,7 +246,7 @@ class ClusterRouter:
         body: Optional[bytes] = None,
         headers: Optional[Dict[str, str]] = None,
         timeout: Optional[float] = None,
-    ) -> Optional[Tuple[int, Dict[str, str], bytes]]:
+    ) -> Optional[Response]:
         """Like :meth:`_shard_request`, but an unreachable shard marks
         the health table and yields None instead of raising."""
         try:
@@ -321,130 +258,9 @@ class ClusterRouter:
             self.health.mark_failed(shard, str(exc))
             return None
 
-    @staticmethod
-    def _json(body: bytes) -> Dict[str, object]:
-        try:
-            decoded = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return {}
-        return decoded if isinstance(decoded, dict) else {}
-
-    # -- dispatch (mirrors StoreServer's) ------------------------------
-
-    def handle(self, request: BaseHTTPRequestHandler, method: str) -> None:
-        parsed = urlparse(request.path)
-        endpoint = parsed.path.strip("/").replace("/", "_") or "root"
-        params = {
-            key: values[-1] for key, values in parse_qs(parsed.query).items()
-        }
-        inbound = TraceContext.from_header(request.headers.get(TRACE_HEADER))
-        context = inbound.child() if inbound is not None else None
-        start = time.perf_counter()
-        try:
-            if context is not None:
-                with activate(context):
-                    status, payload = self.route(
-                        request, method, parsed.path, params
-                    )
-            else:
-                status, payload = self.route(
-                    request, method, parsed.path, params
-                )
-        except RequestError as exc:
-            status, payload = exc.status, {"error": str(exc)}
-        except (KeyError, ProfileFormatError, ValueError) as exc:
-            kind = 404 if isinstance(exc, KeyError) else 400
-            status, payload = kind, {"error": str(exc).strip("'\"")}
-        except Exception as exc:  # noqa: BLE001 - the router survives
-            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-        elapsed = time.perf_counter() - start
-        self.latency.observe(endpoint, elapsed)
-        self.latency.observe("*", elapsed)
-        with self._metrics_lock:
-            self._requests += 1
-            if status >= 400:
-                self._errors += 1
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "router.http.requests_total", "requests routed"
-                ).inc()
-                if status >= 400:
-                    self.telemetry.counter(
-                        "router.http.errors_total", "requests answered >= 400"
-                    ).inc()
-        self.events.emit(
-            "request",
-            trace=context.trace_id if context is not None else None,
-            span=context.span_id if context is not None else None,
-            endpoint=endpoint,
-            method=method,
-            status=status,
-            seconds=elapsed,
-        )
-        extra_headers: Dict[str, str] = {}
-        if isinstance(payload, RawBody):
-            content_type = "application/octet-stream"
-            body = payload.data
-            extra_headers = payload.headers
-        elif isinstance(payload, str):
-            content_type = "text/plain; charset=utf-8"
-            body = payload.encode("utf-8")
-        else:
-            content_type = "application/json"
-            body = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-        try:
-            request.send_response(status)
-            request.send_header("Content-Type", content_type)
-            request.send_header("Content-Length", str(len(body)))
-            for name, value in extra_headers.items():
-                request.send_header(name, value)
-            if context is not None:
-                request.send_header(TRACE_HEADER, context.to_header())
-            if method == "POST" and status >= 400:
-                request.send_header("Connection", "close")
-            request.end_headers()
-            request.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def route(
-        self,
-        request: BaseHTTPRequestHandler,
-        method: str,
-        path: str,
-        params: Dict[str, str],
-    ) -> Tuple[int, object]:
-        if path == "/healthz" and method == "GET":
-            return 200, self._healthz()
-        if path == "/clusterz" and method == "GET":
-            return 200, self._clusterz()
-        if path == "/metricsz" and method == "GET":
-            return 200, self._metricsz()
-        if path == "/tracez" and method == "GET":
-            return 200, self._tracez(params.get("trace"))
-        if path == "/ingest/stream" and method == "POST":
-            return self._ingest_stream(request, params)
-        if path == "/ingest" and method == "POST":
-            return self._ingest(request, params)
-        if path == "/get" and method == "GET":
-            return 200, self._get(params)
-        if path == "/blob" and method == "GET":
-            return 200, self._blob(params)
-        if path in ("/query/runs", "/query/entries") and method == "GET":
-            return 200, self._query(path, params)
-        if path == "/diff" and method == "GET":
-            return 200, self._diff(params)
-        if path == "/gc" and method == "POST":
-            return 200, self._gc()
-        if path == "/rebalance" and method == "POST":
-            return 200, self._rebalance()
-        if path == "/drain" and method == "POST":
-            return 200, self._drain(self._required(params, "shard"))
-        return 404, {"error": f"no such endpoint: {method} {path}"}
-
     # -- observability endpoints ---------------------------------------
 
-    def _healthz(self) -> Dict[str, object]:
+    def _healthz(self, request, params) -> Dict[str, object]:
         alive = self.health.alive_shards()
         total = self.health.names()
         host, port = self.address
@@ -463,7 +279,7 @@ class ClusterRouter:
             "uptime_seconds": time.time() - self.started,
         }
 
-    def _clusterz(self) -> Dict[str, object]:
+    def _clusterz(self, request, params) -> Dict[str, object]:
         with self._metrics_lock:
             repairs = self._repairs
             requests = self._requests
@@ -483,7 +299,7 @@ class ClusterRouter:
             },
         }
 
-    def _metricsz(self) -> Dict[str, object]:
+    def _metricsz(self, request, params) -> Dict[str, object]:
         """Router latencies, plus the cluster-level merge.
 
         Each shard exports its per-endpoint QuantileDigests in wire
@@ -497,9 +313,9 @@ class ClusterRouter:
             answer = self._try_shard(
                 name, "GET", "/metricsz?digests=1", timeout=5.0
             )
-            if answer is None or answer[0] != 200:
+            if answer is None or answer.status != 200:
                 continue
-            payload = self._json(answer[2])
+            payload = answer.json()
             digests = payload.get("latency_digests")
             if isinstance(digests, dict):
                 cluster.absorb(digests)
@@ -522,7 +338,8 @@ class ClusterRouter:
             "shards": shards,
         }
 
-    def _tracez(self, trace_id: Optional[str]) -> Dict[str, object]:
+    def _tracez(self, request, params) -> Dict[str, object]:
+        trace_id = params.get("trace")
         if trace_id is None:
             merged: Dict[str, Dict[str, object]] = {}
 
@@ -536,20 +353,13 @@ class ClusterRouter:
                 kinds.update(str(k) for k in row.get("kinds") or ())
                 into["kinds"] = sorted(kinds)
 
-            for tid in self.events.trace_ids():
-                records = self.events.records_for_trace(tid)
-                fold(
-                    {
-                        "trace_id": tid,
-                        "records": len(records),
-                        "kinds": sorted({str(r.get("kind")) for r in records}),
-                    }
-                )
+            for row in self.trace_rows():
+                fold(row)
             for name in self.health.alive_shards():
                 answer = self._try_shard(name, "GET", "/tracez", timeout=5.0)
-                if answer is None or answer[0] != 200:
+                if answer is None or answer.status != 200:
                     continue
-                for row in self._json(answer[2]).get("traces") or ():
+                for row in answer.json().get("traces") or ():
                     if isinstance(row, dict):
                         fold(row)
             return {"traces": sorted(merged.values(), key=lambda r: r["trace_id"])}
@@ -560,9 +370,9 @@ class ClusterRouter:
             answer = self._try_shard(
                 name, "GET", f"/tracez?trace={trace_id}", timeout=5.0
             )
-            if answer is None or answer[0] != 200:
+            if answer is None or answer.status != 200:
                 continue
-            payload = self._json(answer[2])
+            payload = answer.json()
             for record in payload.get("records") or ():
                 if isinstance(record, dict):
                     record = dict(record)
@@ -581,16 +391,12 @@ class ClusterRouter:
 
     # -- writes --------------------------------------------------------
 
-    def _ingest(
-        self, request: BaseHTTPRequestHandler, params: Dict[str, str]
-    ) -> Tuple[int, object]:
-        workload = self._required(params, "workload")
-        data = read_body(request, self.max_body_bytes)
+    def _ingest(self, request, params: Dict[str, str]) -> Tuple[int, object]:
+        workload = required(params, "workload")
+        data = self.read_body(request)
         if not data:
             raise RequestError(400, "ingest requires a profile document body")
-        digest = sha256_hex(data)
-        status, payload = self._write_replicas(digest, data, workload)
-        return status, payload
+        return self._write_replicas(sha256_hex(data), data, workload)
 
     def _write_replicas(
         self, digest: str, data: bytes, workload: str
@@ -641,16 +447,15 @@ class ClusterRouter:
             if answer is None:
                 missed.append(shard)
                 continue
-            status, __, body = answer
-            if status in (200, 201):
+            if answer.status in (200, 201):
                 written.append(shard)
                 if first is None:
-                    first = self._json(body)
-            elif 400 <= status < 500:
-                payload = self._json(body)
-                payload.setdefault("error", f"shard answered {status}")
+                    first = answer.json()
+            elif 400 <= answer.status < 500:
+                payload = answer.json()
+                payload.setdefault("error", f"shard answered {answer.status}")
                 payload["shard"] = shard
-                return status, payload
+                return answer.status, payload
             else:
                 missed.append(shard)
         if not written:
@@ -671,7 +476,7 @@ class ClusterRouter:
         return (201 if not missed else 200), payload
 
     def _ingest_stream(
-        self, request: BaseHTTPRequestHandler, params: Dict[str, str]
+        self, request, params: Dict[str, str]
     ) -> Tuple[int, object]:
         """Route a BINCAP stream document-by-document.
 
@@ -681,55 +486,38 @@ class ClusterRouter:
         completeness.
         """
         default_workload = params.get("workload")
-        reader = StreamReader(max_document_bytes=self.max_body_bytes)
         ingested: List[Dict[str, object]] = []
         rejected: List[Dict[str, object]] = []
-        error: Optional[str] = None
 
-        def consume(events) -> None:
-            for event in events:
-                if event[0] == "doc":
-                    __, workload, __meta, blob = event
-                    name = workload or default_workload or "unknown"
-                    digest = sha256_hex(blob)
-                    try:
-                        status, payload = self._write_replicas(
-                            digest, blob, name
-                        )
-                    except RequestError as exc:
-                        rejected.append({"workload": name, "error": str(exc)})
-                        continue
-                    if status >= 400:
-                        rejected.append(
-                            {
-                                "workload": name,
-                                "error": str(payload.get("error")),
-                            }
-                        )
-                        continue
-                    ingested.append(
-                        {
-                            "run_id": payload.get("run_id"),
-                            "digest": digest,
-                            "kind": payload.get("kind"),
-                            "size_bytes": len(blob),
-                            "replicas": payload.get("replicas"),
-                            "capture_completeness": payload.get(
-                                "capture_completeness"
-                            ),
-                        }
-                    )
-                elif event[0] == "torn":
-                    rejected.append({"workload": event[1], "error": event[2]})
+        def on_document(workload, meta, blob) -> None:
+            name = workload or default_workload or "unknown"
+            digest = sha256_hex(blob)
+            try:
+                status, payload = self._write_replicas(digest, blob, name)
+            except RequestError as exc:
+                rejected.append({"workload": name, "error": str(exc)})
+                return
+            if status >= 400:
+                rejected.append(
+                    {"workload": name, "error": str(payload.get("error"))}
+                )
+                return
+            ingested.append(
+                {
+                    "run_id": payload.get("run_id"),
+                    "digest": digest,
+                    "kind": payload.get("kind"),
+                    "size_bytes": len(blob),
+                    "replicas": payload.get("replicas"),
+                    "capture_completeness": payload.get(
+                        "capture_completeness"
+                    ),
+                }
+            )
 
-        try:
-            for piece in iter_body(request, self.max_body_bytes):
-                consume(reader.feed(piece))
-        except RequestError as exc:
-            error = str(exc)
-        except (ValueError, OSError) as exc:
-            error = str(exc) or type(exc).__name__
-        summary = reader.summary()
+        summary, error = read_document_stream(
+            request, self.max_body_bytes, on_document, rejected
+        )
         under_replicated = any(
             (row.get("capture_completeness") or 0) < 1.0 for row in ingested
         )
@@ -828,12 +616,12 @@ class ClusterRouter:
             f"/repair?{urlencode({'digest': digest, 'workload': workload})}"
         )
         answer = self._try_shard(shard, "POST", path, body=data)
-        repaired = answer is not None and answer[0] == 200
+        repaired = answer is not None and answer.status == 200
         error = None
         if answer is None:
             error = "shard unreachable"
-        elif answer[0] != 200:
-            error = f"repair answered {answer[0]}"
+        elif answer.status != 200:
+            error = f"repair answered {answer.status}"
         self.events.emit(
             "read_repair",
             digest=digest,
@@ -851,7 +639,7 @@ class ClusterRouter:
                         "replicas healed by read-repair",
                     ).inc()
 
-    def _blob(self, params: Dict[str, str]) -> RawBody:
+    def _blob(self, request, params: Dict[str, str]) -> RawBody:
         selector = params.get("digest") or params.get("run")
         if not selector:
             raise RequestError(400, "blob requires 'digest' or 'run'")
@@ -872,7 +660,7 @@ class ClusterRouter:
                 f"/blob?{urlencode({'run': selector})}",
                 timeout=10.0,
             )
-            if answer is None or answer[0] != 200:
+            if answer is None or answer.status != 200:
                 continue
             status, headers, body = answer
             digest = headers.get("X-Repro-Digest")
@@ -887,8 +675,8 @@ class ClusterRouter:
                 }
         raise KeyError(f"no shard resolves selector {selector!r}")
 
-    def _get(self, params: Dict[str, str]) -> Dict[str, object]:
-        selector = self._required(params, "run")
+    def _get(self, request, params: Dict[str, str]) -> Dict[str, object]:
+        selector = required(params, "run")
         data, __ = self._resolve_bytes(selector)
         return document_from_bytes(data)
 
@@ -903,10 +691,10 @@ class ClusterRouter:
         responded = 0
         for name in shards:
             answer = self._try_shard(name, method, path, timeout=timeout)
-            if answer is None or answer[0] != 200:
+            if answer is None or answer.status != 200:
                 continue
             responded += 1
-            answers[name] = self._json(answer[2])
+            answers[name] = answer.json()
         return answers, responded, len(shards)
 
     def _query(self, path: str, params: Dict[str, str]) -> Dict[str, object]:
@@ -945,9 +733,9 @@ class ClusterRouter:
             "degraded": responded < total,
         }
 
-    def _diff(self, params: Dict[str, str]) -> Dict[str, object]:
-        selector_a = self._required(params, "a")
-        selector_b = self._required(params, "b")
+    def _diff(self, request, params: Dict[str, str]) -> Dict[str, object]:
+        selector_a = required(params, "a")
+        selector_b = required(params, "b")
         bytes_a, headers_a = self._resolve_bytes(selector_a)
         bytes_b, headers_b = self._resolve_bytes(selector_b)
         diff = diff_blobs(
@@ -1073,10 +861,3 @@ class ClusterRouter:
         if error is not None:
             out["error"] = error
         return out
-
-    @staticmethod
-    def _required(params: Dict[str, str], name: str) -> str:
-        value = params.get(name)
-        if not value:
-            raise ValueError(f"missing required parameter {name!r}")
-        return value

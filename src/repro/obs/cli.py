@@ -37,6 +37,7 @@ import json
 import sys
 from typing import Dict, List, Optional
 
+from repro.httpservice import fetch_json
 from repro.obs.events import filter_events, read_events
 from repro.obs.slo import (
     SloError,
@@ -51,23 +52,6 @@ from repro.obs.trace import (
     top_from_spans,
     top_spans,
 )
-
-
-def _fetch_json(url: str, path: str):
-    """GET one JSON endpoint from a daemon; ``ValueError`` on failure."""
-    import urllib.error
-    import urllib.request
-
-    try:
-        with urllib.request.urlopen(
-            f"{url.rstrip('/')}{path}", timeout=30.0
-        ) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        detail = exc.read().decode("utf-8", errors="replace").strip()
-        raise ValueError(f"daemon answered {exc.code}: {detail}") from None
-    except urllib.error.URLError as exc:
-        raise ValueError(f"daemon unreachable: {exc.reason}") from None
 
 
 def _load_events(args) -> List[Dict[str, object]]:
@@ -134,7 +118,7 @@ def _document_for_trace(
     Either way the caller gets the canonical document shape.
     """
     if args.url:
-        payload = _fetch_json(args.url, f"/tracez?trace={trace_id}")
+        payload = fetch_json(args.url, f"/tracez?trace={trace_id}")
         documents = payload.get("documents") or []
         if documents:
             return documents[0].get("document")
@@ -155,7 +139,7 @@ def _run_trace(args) -> int:
     if args.url:
         try:
             if args.action == "list":
-                payload = _fetch_json(args.url, "/tracez")
+                payload = fetch_json(args.url, "/tracez")
                 for row in payload.get("traces", ()):
                     print(
                         f"{row.get('trace_id')}  {row.get('records')} "
@@ -164,7 +148,7 @@ def _run_trace(args) -> int:
                 return 0
             candidates = [
                 str(row.get("trace_id"))
-                for row in _fetch_json(args.url, "/tracez").get("traces", ())
+                for row in fetch_json(args.url, "/tracez").get("traces", ())
             ]
         except ValueError as exc:
             print(str(exc), file=sys.stderr)

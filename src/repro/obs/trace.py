@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 # The document version (and the validating decoder) live with the other
 # formats in core.profile_io; builders and validators must agree.
 from repro.core.profile_io import TRACE_FORMAT_VERSION as TRACE_DOCUMENT_VERSION
+from repro.telemetry.export import format_rate
 
 
 def build_trace_document(
@@ -65,14 +66,6 @@ def _format_seconds(seconds: float) -> str:
     return f"{seconds * 1e3:.2f}ms"
 
 
-def _format_rate(rate: float) -> str:
-    if rate >= 1e6:
-        return f"{rate / 1e6:.2f}M"
-    if rate >= 1e3:
-        return f"{rate / 1e3:.1f}k"
-    return f"{rate:.0f}"
-
-
 def _span_line(span: Dict[str, object]) -> str:
     seconds = float(span.get("seconds", 0.0))
     calls = int(span.get("calls", 0))
@@ -82,7 +75,7 @@ def _span_line(span: Dict[str, object]) -> str:
         unit = str(span.get("unit", "items"))
         detail += f"  {items} {unit}"
         if seconds > 0.0:
-            detail += f" ({_format_rate(items / seconds)} {unit}/s)"
+            detail += f" ({format_rate(items / seconds)} {unit}/s)"
     span_id = span.get("span_id")
     if span_id:
         detail += f"  [{span_id}]"

@@ -32,7 +32,10 @@ from repro.selfcheck.loader import SourceModule, class_directives, dotted_name
 #: classes that are thread-shared by construction in this codebase
 DEFAULT_SHARED_SEEDS = frozenset(
     {
-        "StoreServer",
+        # the HTTP service core: its lifecycle, in-flight and metrics
+        # state is touched by every handler thread of both daemons
+        # (StoreServer and ClusterRouter inherit the shared status)
+        "HTTPService",
         "LRUCache",
         "ProfileStore",
         "Quarantine",
@@ -87,6 +90,9 @@ class AttrInfo:
     #: class name when assigned ``self.x = ClassName(...)``
     value_class: Optional[str] = None
     is_lock: bool = False
+    #: ``threading.local()``: each thread sees its own copy, so
+    #: mutations through it are thread-confined
+    is_thread_local: bool = False
 
 
 @dataclass
@@ -118,6 +124,7 @@ class ClassInfo:
             a.name
             for a in self.attrs.values()
             if a.post_init_mutations and not a.is_lock
+            and not a.is_thread_local
         }
 
 
@@ -126,6 +133,13 @@ def _is_lock_call(call: ast.AST) -> bool:
         return False
     name = dotted_name(call.func)
     return name in _LOCK_CONSTRUCTORS if name is not None else False
+
+
+def _is_thread_local_call(call: ast.AST) -> bool:
+    return isinstance(call, ast.Call) and dotted_name(call.func) in (
+        "local",
+        "threading.local",
+    )
 
 
 def _class_of_value(value: ast.AST) -> Optional[str]:
@@ -274,6 +288,7 @@ def build_class_info(module: SourceModule, node: ast.ClassDef) -> ClassInfo:
                 if value is not None:
                     if _is_lock_call(value):
                         attr.is_lock = True
+                    attr.is_thread_local = _is_thread_local_call(value)
                     value_class = _class_of_value(value)
                     if value_class is not None and not attr.is_lock:
                         attr.value_class = value_class
@@ -323,6 +338,17 @@ class ClassIndex:
         if name is None:
             return None
         return self.by_name.get(name)
+
+    def lineage(self, info: ClassInfo) -> List[ClassInfo]:
+        """``info`` followed by its project base classes, transitively:
+        a subclass holds (and may take) every lock its bases own."""
+        out = [info]
+        for current in out:
+            for base in current.bases:
+                base_info = self.get(base)
+                if base_info is not None and base_info not in out:
+                    out.append(base_info)
+        return out
 
     def shared_classes(
         self, seeds: frozenset = DEFAULT_SHARED_SEEDS

@@ -50,9 +50,11 @@ def lock_key(
             attr = info.attrs.get(hop)
             info = index.get(attr.value_class) if attr is not None else None
         if info is not None:
-            attr = info.attrs.get(final)
-            if attr is not None and attr.is_lock:
-                return name
+            # a lock the class inherits guards like one it owns
+            for holder in index.lineage(info):
+                attr = holder.attrs.get(final)
+                if attr is not None and attr.is_lock:
+                    return name
     return None
 
 

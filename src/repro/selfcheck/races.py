@@ -111,7 +111,8 @@ def _check_class(
     guarded = info.guarded_attrs()
     tracker = LockTracker(info, index)
 
-    if is_shared and not info.lock_attrs and guarded:
+    owns_lock = any(c.lock_attrs for c in index.lineage(info))
+    if is_shared and not owns_lock and guarded:
         sink.report(
             "RL105",
             info.node.lineno,
@@ -138,6 +139,8 @@ def _check_class(
                         not held
                         and attr is not None
                         and not attr.is_lock
+                        and not attr.is_thread_local
+                        and not _delegates(site, attr, index)
                     ):
                         sink.report(
                             "RL101",
@@ -190,6 +193,13 @@ def _check_class(
                 symbol=f"{info.name}.{method_name}",
                 detail=",".join(attrs),
             )
+
+
+def _delegates(site: ast.AST, attr, index: ClassIndex) -> bool:
+    """``self.attr.add(...)`` on an instance of another analyzed class:
+    that class's own locking (or RL104, when it is externally guarded)
+    covers the call, so it is not an unguarded mutation of ``self``."""
+    return isinstance(site, ast.Call) and index.get(attr.value_class) is not None
 
 
 def _check_external_call(

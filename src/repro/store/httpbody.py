@@ -12,11 +12,15 @@ and :class:`~repro.cluster.router.ClusterRouter`:
   yet.
 
 Oversized bodies are a 413 before the bytes are buffered anywhere.
+:func:`read_document_stream` feeds either framing through the BINCAP
+stream reader for the two ``/ingest/stream`` endpoints.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.core.binformat import StreamReader
 
 
 class RequestError(ValueError):
@@ -107,3 +111,33 @@ def iter_chunked_body(rfile, max_body_bytes: int) -> Iterator[bytes]:
 def read_body(request, max_body_bytes: int) -> bytes:
     """The whole request body as one byte string."""
     return b"".join(iter_body(request, max_body_bytes))
+
+
+def read_document_stream(
+    request,
+    max_body_bytes: int,
+    on_document: Callable[[Optional[str], Dict[str, object], bytes], None],
+    rejected: List[Dict[str, object]],
+) -> Tuple[Dict[str, object], Optional[str]]:
+    """Feed a BINCAP document stream to ``on_document`` as it arrives.
+
+    ``on_document(workload, meta, blob)`` runs the moment a document's
+    DOC_END verifies, so a long capture lands incrementally; a torn
+    document is appended to ``rejected``.  Framing that dies mid-stream
+    (truncated chunk, connection cut) keeps what verified and comes
+    back as the error text.  Returns ``(reader summary, error)``.
+    """
+    reader = StreamReader(max_document_bytes=max_body_bytes)
+    error: Optional[str] = None
+    try:
+        for piece in iter_body(request, max_body_bytes):
+            for event in reader.feed(piece):
+                if event[0] == "doc":
+                    on_document(*event[1:])
+                elif event[0] == "torn":
+                    rejected.append({"workload": event[1], "error": event[2]})
+    except RequestError as exc:
+        error = str(exc)
+    except (ValueError, OSError) as exc:
+        error = str(exc) or type(exc).__name__
+    return reader.summary(), error

@@ -181,27 +181,12 @@ def _post_document(url: str, data: bytes, workload: str):
     travel the same way.  Returns the decoded JSON response; raises
     ``ValueError`` with the daemon's error text on a non-2xx answer.
     """
-    import urllib.error
-    import urllib.request
+    from repro.httpservice import fetch_json
 
-    from repro.obs.context import TRACE_HEADER, current_header
-
-    request = urllib.request.Request(
-        f"{url.rstrip('/')}/ingest?workload={workload}",
-        data=data,
-        method="POST",
+    return fetch_json(
+        url, f"/ingest?workload={workload}", method="POST", body=data,
+        timeout=60.0,
     )
-    header = current_header()
-    if header is not None:
-        request.add_header(TRACE_HEADER, header)
-    try:
-        with urllib.request.urlopen(request, timeout=60.0) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        detail = exc.read().decode("utf-8", errors="replace").strip()
-        raise ValueError(f"daemon answered {exc.code}: {detail}") from None
-    except urllib.error.URLError as exc:
-        raise ValueError(f"daemon unreachable: {exc.reason}") from None
 
 
 def _run_ingest(args: argparse.Namespace) -> int:
@@ -333,20 +318,12 @@ def _stream_ingest(args, names, telemetry, context, events, injector) -> int:
     verifies, so runs appear while later workloads are still being
     profiled -- the capture never sits complete on this side first.
     """
-    import http.client
-    from urllib.parse import quote, urlsplit
+    from urllib.parse import quote
 
     from repro.core.binformat import StreamWriter
-    from repro.obs.context import TRACE_HEADER, current_header
+    from repro.httpservice import HttpClient
     from repro.parallel.workers import profile_workload_documents
 
-    split = urlsplit(args.url)
-    conn_cls = (
-        http.client.HTTPSConnection
-        if split.scheme == "https"
-        else http.client.HTTPConnection
-    )
-    connection = conn_cls(split.netloc, timeout=120.0)
     sent = 0
 
     def body():
@@ -381,25 +358,22 @@ def _stream_ingest(args, names, telemetry, context, events, injector) -> int:
         writer.close()
         yield b"".join(pending)
 
-    headers = {"Transfer-Encoding": "chunked"}
-    trace_header = current_header()
-    if trace_header is not None:
-        headers[TRACE_HEADER] = trace_header
     path = "/ingest/stream"
     if len(names) == 1:
         path += f"?workload={quote(names[0])}"
+    client = HttpClient(timeout=120.0)
     try:
-        connection.request(
-            "POST", path, body=body(), headers=headers, encode_chunked=True
+        response = client.request(
+            args.url, "POST", path, body=body(),
+            headers={"Transfer-Encoding": "chunked"}, chunked=True,
         )
-        response = connection.getresponse()
-        answer = json.loads(response.read().decode("utf-8"))
+        answer = json.loads(response.body.decode("utf-8"))
         status = response.status
     except (OSError, ValueError) as exc:
         print(f"stream failed: {exc}", file=sys.stderr)
         return 1
     finally:
-        connection.close()
+        client.close()
     for row in answer.get("ingested", ()):
         print(
             f"streamed {row.get('run_id')} ({row.get('kind')}, "
@@ -538,8 +512,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 0
     if args.command == "serve":
-        import signal
-
+        from repro.httpservice import serve_until_terminated
         from repro.store.server import StoreServer
 
         telemetry = Telemetry() if args.telemetry else NULL_TELEMETRY
@@ -552,29 +525,22 @@ def main(argv: Optional[List[str]] = None) -> int:
             max_concurrent=args.max_concurrent,
             trace_out=args.trace_out,
         )
-        host, port = server.address
-        print(f"serving profile store {args.root} on {server.url}", flush=True)
-        # The bound address on its own line: with --port 0 the kernel
-        # picks the port, and supervisors parse this line to learn it.
-        print(f"listening {host}:{port}", flush=True)
+        def announce() -> None:
+            host, port = server.address
+            print(
+                f"serving profile store {args.root} on {server.url}",
+                flush=True,
+            )
+            # The bound address on its own line: with --port 0 the
+            # kernel picks the port, and supervisors parse this line
+            # to learn it.
+            print(f"listening {host}:{port}", flush=True)
 
-        class _Terminated(Exception):
-            pass
-
-        def _on_sigterm(signum, frame):
-            raise _Terminated()
-
-        previous = signal.signal(signal.SIGTERM, _on_sigterm)
         try:
-            server.serve_forever()
-        except (KeyboardInterrupt, _Terminated):
-            pass
+            serve_until_terminated(server, announce)
         finally:
-            signal.signal(signal.SIGTERM, previous)
-            # serve_forever already exited; drain in-flight handlers
-            # first, then stop() closes the socket and flushes events
+            # the daemon no longer accepts; wait for in-flight handlers
             server.drain(args.drain_deadline)
-            server.stop()
             emit(telemetry, args.telemetry, args.telemetry_out)
         return 0
     parser.error(f"unknown command {args.command!r}")

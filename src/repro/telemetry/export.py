@@ -35,7 +35,8 @@ def _format_seconds(seconds: float) -> str:
     return f"{seconds * 1e3:8.2f}ms"
 
 
-def _format_rate(rate: float) -> str:
+def format_rate(rate: float) -> str:
+    """A rate with a k/M suffix (950, 1.2k, 3.45M)."""
     if rate >= 1e6:
         return f"{rate / 1e6:.2f}M"
     if rate >= 1e3:
@@ -55,7 +56,7 @@ def render_report(telemetry: Telemetry) -> str:
                 if span.items:
                     detail += (
                         f"  {span.items} {span.unit}"
-                        f"  ({_format_rate(span.throughput)} {span.unit}/s)"
+                        f"  ({format_rate(span.throughput)} {span.unit}/s)"
                     )
                 lines.append(f"  {'  ' * depth}{span.name:<{24 - 2 * depth}} {detail}")
     metrics = list(telemetry.registry)

@@ -455,3 +455,61 @@ class TestLoadgenUnits:
         rebuilt = LoadReport.from_plain(first.to_plain())
         assert rebuilt.requests == 4
         assert rebuilt.digests["get"].count == 3
+
+
+class TestLoadgenPicks:
+    def test_diffs_pair_one_kind_and_picks_follow_the_seed(self, tmp_path):
+        from repro.cluster.loadgen import DEFAULT_MIX
+        from repro.core.events import AccessKind
+        from repro.core.profile_io import dumps_bytes
+        from repro.profilers.whomp import WhompProfiler
+        from repro.runtime.process import Process
+        from repro.store import ProfileStore
+        from repro.store.server import StoreServer
+
+        def whomp_document(stride):
+            process = Process()
+            load = process.instruction("ld", AccessKind.LOAD)
+            block = process.malloc("site", 4096, type_name="long[]")
+            for step in range(64):
+                process.load(load, block + (step * stride % 512) * 8)
+            process.free(block)
+            process.finish()
+            profile = WhompProfiler().profile(process.trace)
+            return dumps_bytes(profile, fmt="json")
+
+        leap = synthetic_documents(count=2, seed=5)
+        documents = [
+            leap[0],
+            ("loadgen.whomp0", "json", whomp_document(1)),
+            leap[1],
+            ("loadgen.whomp1", "json", whomp_document(3)),
+        ]
+        only = {kind: 0.0 for kind in DEFAULT_MIX}
+        server = StoreServer(ProfileStore(str(tmp_path / "store"))).start()
+        picked = []
+        original = server.store.get_document
+
+        def recording_get(selector):
+            picked.append(selector)
+            return original(selector)
+
+        try:
+            # a WHOMP-vs-LEAP diff is a 400 by design; the generator
+            # must only pair digests of one kind
+            report = run_load(
+                server.url, requests=24, concurrency=1, seed=1,
+                mix=dict(only, diff=1.0), documents=documents,
+            )
+            assert report.by_kind["diff"] == {"count": 24, "errors": 0}
+            assert report.client_errors == 0
+            server.store.get_document = recording_get
+            for seed in (1, 2):
+                run_load(
+                    server.url, requests=16, concurrency=1, seed=seed,
+                    mix=dict(only, get=1.0), documents=documents,
+                )
+        finally:
+            server.stop()
+        assert len(picked) == 32
+        assert picked[:16] != picked[16:], "worker picks ignore the seed"

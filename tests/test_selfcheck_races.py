@@ -317,3 +317,73 @@ class TestSharednessPropagation:
                 self.m += 1
         """
         assert codes(source) == ["RL105"]
+
+
+class TestInheritedLocks:
+    """A subclass of a shared base takes the locks the base owns."""
+
+    BASE = """\
+    import threading
+
+
+    class Base:  # repro: shared
+        def __init__(self):
+            self._state_guard = threading.Lock()
+
+
+    class Child(Base):
+        def __init__(self):
+            super().__init__()
+            self.n = 0
+
+        def tick(self):
+            {body}
+    """
+
+    def test_inherited_lock_guards_subclass_mutation(self):
+        body = "with self._state_guard:\n                self.n += 1"
+        assert codes(self.BASE.format(body=body)) == []
+
+    def test_unguarded_subclass_mutation_still_fires(self):
+        assert codes(self.BASE.format(body="self.n += 1")) == ["RL101"]
+
+
+class TestThreadConfinedAndDelegatedState:
+    def test_thread_local_attribute_is_not_shared_state(self):
+        source = """\
+        import threading
+
+
+        class Client:  # repro: shared
+            def __init__(self):
+                self._local = threading.local()
+
+            def connections(self):
+                self._local.connections = {}
+        """
+        assert codes(source) == []
+
+    def test_call_into_self_locking_class_is_not_a_mutation(self):
+        source = """\
+        import threading
+
+
+        class Ring:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.names = set()
+
+            def add(self, name):
+                with self._lock:
+                    self.names.add(name)
+
+
+        class Router:  # repro: shared
+            def __init__(self):
+                self._lock = threading.Lock()
+                self.ring = Ring()
+
+            def attach(self, name):
+                self.ring.add(name)
+        """
+        assert codes(source) == []

@@ -10,6 +10,8 @@ import threading
 
 import pytest
 
+from repro.cluster.router import ClusterRouter
+
 import repro.obs.events as events_module
 from repro.obs.events import EventLog
 from repro.store import LRUCache, ProfileStore
@@ -108,3 +110,22 @@ class TestServerLifecycle:
         server2 = StoreServer(ProfileStore(str(tmp_path)), port=0)
         server2.start()
         server2.stop()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda root: StoreServer(ProfileStore(root), port=0),
+            lambda root: ClusterRouter(port=0, probe_interval=0),
+        ],
+        ids=["store", "router"],
+    )
+    def test_stop_without_serve_loop_returns(self, tmp_path, make):
+        # socketserver's shutdown() waits on an event only a running
+        # serve loop sets; a daemon stopped before it ever served (a
+        # SIGTERM between the CLI's listening line and its serve loop)
+        # used to hang here forever
+        daemon = make(str(tmp_path))
+        stopper = threading.Thread(target=daemon.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5.0)
+        assert not stopper.is_alive(), "stop() hung on a never-served daemon"
