@@ -11,8 +11,11 @@ import random
 from repro.analysis.omega import intersect_lmads
 from repro.compression.lmad import LMAD, LMADCompressor
 from repro.compression.sequitur import SequiturGrammar
+from repro.core.cdc import translate_trace
 from repro.core.interval_index import IntervalIndex
 from repro.core.omc import ObjectManager
+from repro.core.scc import HorizontalSequiturSCC
+from repro.workloads.registry import create
 
 
 def test_sequitur_periodic_throughput(benchmark):
@@ -38,6 +41,23 @@ def test_sequitur_random_throughput(benchmark):
 
     grammar = benchmark.pedantic(run, rounds=3, iterations=1)
     assert grammar.expand() == tokens
+
+
+def test_sequitur_feed_per_token_throughput(benchmark):
+    """WHOMP's compression as ``repro-profile run`` drives it: one
+    ``feed`` per dimension per access through the SCC, not ``feed_all``."""
+    accesses = list(translate_trace(create("gzip", scale=0.1).trace(), ObjectManager()))
+
+    def run():
+        scc = HorizontalSequiturSCC()
+        for access in accesses:
+            scc.consume(access)
+        return scc
+
+    scc = benchmark.pedantic(run, rounds=3, iterations=1)
+    streams = scc.decompose(accesses)
+    for name, grammar in scc.grammars.items():
+        assert grammar.expand() == streams[name]
 
 
 def test_lmad_compressor_throughput(benchmark):

@@ -22,7 +22,20 @@ digram index before acting, which keeps the cascade logic simple and
 verifiable; the classic recursive formulation is notoriously easy to get
 subtly wrong.
 
-Terminals may be any hashable value; the profilers feed integers.
+**Terminals** must be hashable, and terminals that compare equal are one
+terminal: a repeat may be stored as the first occurrence's object, so
+``compress([True, 2, 1, 2]).expand()`` returns ``[True, 2, True, 2]``
+(``1.0`` and ``1`` merge the same way).  Feed values of one type whose
+equality is identity of meaning: the profilers feed ints, RASG and the
+hot-stream miner feed tuples of ints.  A :class:`Rule` is never a
+terminal.
+
+**The digram index** maps ``(left.value, right.value)`` to the left
+symbol of the registered occurrence.  A non-terminal's value is its
+:class:`Rule`, which defines no ``__eq__``/``__hash__`` and so hashes and
+compares by identity: it cannot collide with a terminal or with another
+rule.  ``Rule`` must keep identity semantics for the index to stay
+correct.
 """
 
 from __future__ import annotations
@@ -42,18 +55,16 @@ class _Symbol:
     stale references.
     """
 
-    __slots__ = ("value", "prev", "next", "is_guard", "alive")
+    __slots__ = ("value", "prev", "next", "is_guard", "is_nonterminal", "alive")
 
     def __init__(self, value: Union[Terminal, "Rule"], is_guard: bool = False) -> None:
         self.value = value
         self.prev: Optional["_Symbol"] = None
         self.next: Optional["_Symbol"] = None
         self.is_guard = is_guard
+        # ``value`` is never reassigned, so the flag cannot go stale
+        self.is_nonterminal = not is_guard and isinstance(value, Rule)
         self.alive = True
-
-    @property
-    def is_nonterminal(self) -> bool:
-        return isinstance(self.value, Rule) and not self.is_guard
 
 
 class Rule:
@@ -156,9 +167,13 @@ class SequiturGrammar:
     def feed(self, token: Terminal) -> None:
         """Append one terminal to the input sequence."""
         self._tokens_fed += 1
+        guard = self.start.guard
+        last = guard.prev
         new = _Symbol(token)
-        self._insert_after(self.start.last, new)
-        self._pending.append(new.prev)  # type: ignore[arg-type]
+        new.prev = last
+        new.next = guard
+        last.next = guard.prev = new
+        self._pending.append(last)
         self._drain()
 
     def feed_all(self, tokens: Iterable[Terminal]) -> None:
@@ -289,7 +304,7 @@ class SequiturGrammar:
         for rule_id in sorted(rules):
             node = rules[rule_id].first
             while not node.is_guard and not node.next.is_guard:
-                grammar._digrams.setdefault(_digram_key(node, node.next), node)
+                grammar._digrams.setdefault((node.value, node.next.value), node)
                 node = node.next
         return grammar
 
@@ -355,7 +370,7 @@ class SequiturGrammar:
         right = left.next
         if left.is_guard or right is None or right.is_guard:
             return
-        key = _digram_key(left, right)
+        key = (left.value, right.value)
         if self._digrams.get(key) is left:
             del self._digrams[key]
             self._pending.append(left.prev)  # type: ignore[arg-type]
@@ -364,37 +379,36 @@ class SequiturGrammar:
     # -- invariant enforcement -------------------------------------------
 
     def _drain(self) -> None:
-        """Process queued digram positions until the grammar is stable."""
-        while self._pending:
-            node = self._pending.pop()
-            if not node.alive or node.is_guard:
+        """Process queued digram positions until the grammar is stable,
+        enforcing digram uniqueness for the digram starting at each."""
+        pending = self._pending
+        digrams = self._digrams
+        while pending:
+            left = pending.pop()
+            if not left.alive or left.is_guard:
                 continue
-            self._check(node)
-
-    def _valid_registration(self, key: Digram, node: _Symbol) -> bool:
-        """Whether ``node`` still is a live occurrence of ``key``."""
-        if not node.alive or node.is_guard:
-            return False
-        right = node.next
-        if right is None or right.is_guard:
-            return False
-        return _digram_key(node, right) == key
-
-    def _check(self, left: _Symbol) -> None:
-        """Enforce digram uniqueness for the digram starting at ``left``."""
-        right = left.next
-        if left.is_guard or right is None or right.is_guard:
-            return
-        key = _digram_key(left, right)
-        match = self._digrams.get(key)
-        if match is None or not self._valid_registration(key, match):
-            self._digrams[key] = left
-            return
-        if match is left:
-            return
-        if match.next is left or left.next is match:
-            return  # overlapping occurrence ("aaa"): leave it
-        self._handle_match(left, match)
+            right = left.next
+            if right is None or right.is_guard:
+                continue
+            key = (left.value, right.value)
+            match = digrams.get(key)
+            if match is left:
+                continue
+            # the registered occurrence is stale unless it still is a
+            # live occurrence of ``key``
+            stale = match is None or not match.alive or match.is_guard
+            if not stale:
+                after = match.next
+                stale = (
+                    after is None
+                    or after.is_guard
+                    or (match.value, after.value) != key
+                )
+            if stale:
+                digrams[key] = left
+            elif not (after is left or right is match):
+                # (an overlapping occurrence, "aaa", is left alone)
+                self._handle_match(left, match)
 
     def _handle_match(self, new_left: _Symbol, old_left: _Symbol) -> None:
         """Rewrite two non-overlapping occurrences of one digram."""
@@ -415,7 +429,7 @@ class SequiturGrammar:
         body_right = _Symbol(old_right.value)
         self._insert_after(rule.guard, body_left)
         self._insert_after(body_left, body_right)
-        self._digrams[_digram_key(body_left, body_right)] = body_left
+        self._digrams[(body_left.value, body_right.value)] = body_left
         # Replace the old occurrence first, then the new one.  Inlining
         # triggered by the first substitution can consume the second
         # occurrence (when it was the sole reference to an inlined
@@ -434,37 +448,52 @@ class SequiturGrammar:
         self._forget_digram(prev)
         self._forget_digram(left)
         self._forget_digram(right)
-        self._unlink(left)
-        self._unlink(right)
+        # Unlink both symbols and link the reference in their place,
+        # leaving the dead pair's pointers as two ``_unlink`` calls
+        # would: ``right.prev`` must not point back at ``left``, or the
+        # pair becomes a cycle only the garbage collector can free.
+        left.alive = right.alive = False
+        if left.is_nonterminal:
+            left.value.refs.discard(left)
+        if right.is_nonterminal:
+            right.value.refs.discard(right)
+        after = right.next
+        right.prev = prev
         ref = _Symbol(rule)
-        self._insert_after(prev, ref)
-        self._pending.append(prev)
-        self._pending.append(ref)
+        ref.prev = prev
+        ref.next = after
+        prev.next = after.prev = ref
+        rule.refs.add(ref)
+        pending = self._pending
+        pending.append(prev)
+        pending.append(ref)
         # Rule utility: removing the two symbols may have dropped some
         # rule's reference count to one.
-        self._maybe_inline(left)
-        self._maybe_inline(right)
+        if left.is_nonterminal:
+            self._maybe_inline(left)
+        if right.is_nonterminal:
+            self._maybe_inline(right)
 
     def _maybe_inline_head(self, rule: Rule) -> None:
         """After substitutions into ``rule``, its body symbols may now be
         the sole reference to some other rule; check both body symbols
         that formed the digram."""
-        for symbol in (rule.first, rule.last):
-            if symbol.alive and not symbol.is_guard:
+        guard = rule.guard
+        for symbol in (guard.next, guard.prev):
+            if symbol.alive and symbol.is_nonterminal:
                 self._maybe_inline(symbol)
 
     def _maybe_inline(self, removed: _Symbol) -> None:
         """Rule utility: inline a rule whose refcount dropped to one.
 
-        ``removed`` only supplies the rule identity (``removed.value``);
-        the body's symbol nodes move wholesale into the referencing
-        rule, so their digram registrations stay valid.  Only the two
-        boundary digrams around the reference change; they are queued.
+        ``removed`` is a non-terminal and only supplies the rule identity
+        (``removed.value``); the body's symbol nodes move wholesale into
+        the referencing rule, so their digram registrations stay valid.
+        Only the two boundary digrams around the reference change; they
+        are queued.
         """
-        if not removed.is_nonterminal:
-            return
         rule: Rule = removed.value
-        if rule.refcount != 1:
+        if len(rule.refs) != 1:
             return
         ref = next(iter(rule.refs))
         prev, next_node = ref.prev, ref.next
