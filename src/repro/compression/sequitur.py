@@ -72,7 +72,8 @@ class Rule:
 
     ``refs`` tracks the live non-terminal symbols referencing this rule,
     so rule utility (refcount) and the single remaining reference are
-    both O(1) lookups.
+    both O(1) lookups.  Do not define ``__eq__``/``__hash__``: the
+    digram index keys rules by identity.
     """
 
     __slots__ = ("id", "guard", "refs")
@@ -394,17 +395,15 @@ class SequiturGrammar:
             match = digrams.get(key)
             if match is left:
                 continue
-            # the registered occurrence is stale unless it still is a
-            # live occurrence of ``key``
-            stale = match is None or not match.alive or match.is_guard
-            if not stale:
-                after = match.next
-                stale = (
-                    after is None
-                    or after.is_guard
-                    or (match.value, after.value) != key
-                )
-            if stale:
+            after = None if match is None else match.next
+            if (
+                # the registration is stale: no longer a live occurrence
+                after is None
+                or not match.alive
+                or match.is_guard
+                or after.is_guard
+                or (match.value, after.value) != key
+            ):
                 digrams[key] = left
             elif not (after is left or right is match):
                 # (an overlapping occurrence, "aaa", is left alone)
