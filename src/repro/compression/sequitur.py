@@ -140,7 +140,11 @@ Digram = Tuple[Hashable, Hashable]
 
 
 def _digram_key(left: _Symbol, right: _Symbol) -> Digram:
-    """Hashable identity of a digram; rules key by their id."""
+    """Hashable identity of a digram; rules key by their id.
+
+    Only :meth:`SequiturGrammar.check_invariants` uses it, so the check
+    does not rely on the value-keyed index it is checking.
+    """
     lk = ("R", left.value.id) if left.is_nonterminal else ("T", left.value)
     rk = ("R", right.value.id) if right.is_nonterminal else ("T", right.value)
     return (lk, rk)
